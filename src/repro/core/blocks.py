@@ -13,11 +13,13 @@ itself -- and therefore the numerical result -- is identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.tensor.functional import SegmentPlan, segment_plan
 
 
 @dataclass
@@ -43,6 +45,9 @@ class LayerBlock:
     compute_pos_in_inputs:
         For each compute vertex, its row in the input space (used for
         self terms and attention destinations).
+
+    The block also caches the scatter-add plans of its two edge
+    endpoints (:attr:`dst_plan`, :attr:`src_plan`), built on first use.
     """
 
     layer_index: int
@@ -55,6 +60,18 @@ class LayerBlock:
     edge_src_global: np.ndarray
     edge_ids: np.ndarray
     edge_features: Optional[np.ndarray] = None
+
+    @cached_property
+    def dst_plan(self) -> Optional[SegmentPlan]:
+        """Plan for summing edge rows into output rows (GatherByDst);
+        None for blocks too small to need one."""
+        return segment_plan(self.edge_dst_pos, self.num_outputs)
+
+    @cached_property
+    def src_plan(self) -> Optional[SegmentPlan]:
+        """Plan for summing edge rows into input rows (GatherBySrc, the
+        backward of ScatterToEdge); None for small blocks."""
+        return segment_plan(self.edge_src_pos, self.num_inputs)
 
     @property
     def num_edges(self) -> int:

@@ -218,15 +218,20 @@ class GATConv(GNNLayer):
 
     def forward(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
         projected = self.linear(h_inputs)
-        z_src = F.index_select(projected, block.edge_src_pos)
+        z_src = F.index_select(projected, block.edge_src_pos, plan=lambda: block.src_plan)
         dst_rows = block.compute_pos_in_inputs[block.edge_dst_pos]
         z_dst = F.index_select(projected, dst_rows)
         scores = F.leaky_relu(
             z_src @ self.attn_src + z_dst @ self.attn_dst, self.negative_slope
         )
-        alpha = F.segment_softmax(scores, block.edge_dst_pos, block.num_outputs)
+        dst_plan = block.dst_plan
+        alpha = F.segment_softmax(
+            scores, block.edge_dst_pos, block.num_outputs, dst_plan
+        )
         weighted = z_src * alpha
-        out = F.segment_sum(weighted, block.edge_dst_pos, block.num_outputs)
+        out = F.segment_sum(
+            weighted, block.edge_dst_pos, block.num_outputs, dst_plan
+        )
         if self.activation == "relu":
             out = out.relu()
         return out

@@ -31,7 +31,7 @@ def scatter_to_edge(block: LayerBlock, h_inputs: Tensor) -> Tuple[Tensor, Tensor
     Returns ``(f_src, f_dst)``: per-edge source and destination
     representations (the adjoint of this gather is ``GatherBySrc``).
     """
-    f_src = F.index_select(h_inputs, block.edge_src_pos)
+    f_src = F.index_select(h_inputs, block.edge_src_pos, plan=lambda: block.src_plan)
     dst_rows = block.compute_pos_in_inputs[block.edge_dst_pos]
     f_dst = F.index_select(h_inputs, dst_rows)
     return f_src, f_dst
@@ -54,9 +54,13 @@ def gather_by_dst(block: LayerBlock, messages: Tensor, agg: str = "sum") -> Tens
     names min/max/sum); this reproduction ships sum and mean.
     """
     if agg == "sum":
-        return F.segment_sum(messages, block.edge_dst_pos, block.num_outputs)
+        return F.segment_sum(
+            messages, block.edge_dst_pos, block.num_outputs, block.dst_plan
+        )
     if agg == "mean":
-        return F.segment_mean(messages, block.edge_dst_pos, block.num_outputs)
+        return F.segment_mean(
+            messages, block.edge_dst_pos, block.num_outputs, block.dst_plan
+        )
     raise ValueError(f"unsupported aggregator {agg!r} (use 'sum' or 'mean')")
 
 
@@ -70,7 +74,9 @@ def fused_scatter_gather(
     source row by the edge weight before the sum (GCN/GIN message),
     ``"mean"`` averages the raw source rows (SAGE).  Bit-identical to
     the three-op chain -- see
-    :class:`repro.tensor.functional.FusedGatherScatter`.
+    :class:`repro.tensor.functional.FusedGatherScatter` -- and it runs
+    on the same block plans: the destination plan forward, the source
+    plan (built only if backward runs) backward.
     """
     return F.fused_gather_scatter(
         h_inputs,
@@ -79,6 +85,8 @@ def fused_scatter_gather(
         block.num_outputs,
         weights=block.edge_weight if reducer == "weighted_sum" else None,
         reducer=reducer,
+        dst_plan=block.dst_plan,
+        src_plan=lambda: block.src_plan,
     )
 
 

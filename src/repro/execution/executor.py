@@ -389,9 +389,22 @@ class LayerExecutor:
             engine._accumulate(plan, grad_acc, l - 2, j, pos, remote_rows[sel])
 
     def accumulate(self, plan, grad_acc, layer_idx, worker, positions, rows):
+        """Add gradient ``rows`` into a compute set's pending seed.
+
+        ``positions`` map distinct input vertices one-to-one onto
+        compute-set rows, so they are unique within a call and a plain
+        fancy ``+=`` is exact (bit-identical to ``np.add.at``).  A
+        duplicate would silently drop a contribution, so it raises.
+        """
         engine = self.engine
         if len(positions) == 0:
             return
+        if not (positions[1:] > positions[:-1]).all() and (
+            len(np.unique(positions)) != len(positions)
+        ):
+            raise RuntimeError(
+                "gradient routed twice to one compute row (plan bug)"
+            )
         if plan.is_tp_layer(layer_idx + 1):
             # The TP layer's output tensor is computed once (worker 0)
             # and aliased; every worker's compute set is the identical
@@ -407,7 +420,7 @@ class LayerExecutor:
             )
             acc = np.zeros(shape, dtype=np.float32)
             grad_acc[layer_idx][worker] = acc
-        np.add.at(acc, positions, rows)
+        acc[positions] += rows
 
     # -- evaluation ----------------------------------------------------
     def evaluate(self, mask: Optional[np.ndarray] = None) -> float:

@@ -134,3 +134,33 @@ class TestEpochReportFields:
         prep1 = engine.plan().preprocessing_s
         engine.run_epoch()
         assert engine.plan().preprocessing_s == prep1  # plan cached
+
+
+class TestAccumulate:
+    """PostToDepNbr's gradient seed accumulation (``accumulate``)."""
+
+    def _seed(self, engine, rows_at):
+        plan = engine.plan()
+        grad_acc = [[None] * 4 for _ in range(engine.num_layers)]
+        for positions, rows in rows_at:
+            engine._accumulate(plan, grad_acc, 0, 1, positions, rows)
+        return grad_acc[0][1]
+
+    def test_calls_sum_like_add_at(self, engine):
+        rng = np.random.default_rng(0)
+        n = len(engine.plan().compute_sets[0][1])
+        calls = []
+        for _ in range(3):  # unique within a call, overlapping across calls
+            positions = rng.permutation(n)[: n // 2]
+            calls.append((positions, rng.standard_normal((len(positions), 8))
+                          .astype(np.float32)))
+        want = np.zeros((n, 8), dtype=np.float32)
+        for positions, rows in calls:
+            np.add.at(want, positions, rows)
+        got = self._seed(engine, calls)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_duplicate_position_raises(self, engine):
+        rows = np.ones((3, 8), dtype=np.float32)
+        with pytest.raises(RuntimeError, match="plan bug"):
+            self._seed(engine, [(np.array([4, 2, 4]), rows)])
