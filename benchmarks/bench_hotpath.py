@@ -7,14 +7,15 @@ loops the vectorization PR rewrote:
 - ``epoch_s``: one sampled-training ``charge_epoch`` -- sampling,
   closure reuse, block building, compile, and accounting for every
   mini-batch round (the data-management epoch);
-- ``compile_s``: one full-graph hybrid plan compile -- k-hop closures,
-  block building, and program construction.
+- ``compile_s``: one full-graph hybrid plan compile -- Algorithm 4,
+  k-hop closures, block building, and program construction.
 
 The before/after comparison is built in: ``reference_mode()``
 reinstalls the pre-vectorization implementations (per-vertex slice
 loops, ``searchsorted`` lookups, ``np.unique`` unions,
 full-candidate sampler ranking, ``intersect1d``/``setdiff1d`` set
-algebra), kept verbatim from the seed revision, and every measurement
+algebra, and Algorithm 4 as one heap pop, ``t_r`` walk and commit per
+candidate), kept verbatim from the seed revision, and every measurement
 runs once per mode on the same graph and seeds.  The headline assert:
 the vectorized epoch is at least ``--min-speedup`` (default 5x) faster
 than the reference on the largest generator in the ladder.
@@ -27,16 +28,20 @@ configuration (small graphs, 2x floor).
 import argparse
 import contextlib
 import gc
+import heapq
+import math
 import time
 
 import numpy as np
 
-from common import wallclock, write_json
+from common import host_metadata, wallclock, write_json
 from repro.cluster.spec import ClusterSpec
 from repro.core import blocks as B
 from repro.costmodel import costs as CO
+from repro.costmodel import partitioner as P
 from repro.core.model import GNNModel
 from repro.engines import HybridEngine
+from repro.engines import hybrid as EH
 from repro.graph.adjacency import Adjacency
 from repro.graph.datasets import load_dataset
 from repro.sampling import closure as CL
@@ -175,6 +180,7 @@ def _replace_ref(self, src, dst, eids, scales):
 
 
 def _t_r_ref(self, u, layer):
+    """Eq. 1 for one candidate: (cost, new vertices per level, edges, bytes)."""
     graph = self.graph
     csc = graph.csc
     cost = 0.0
@@ -208,11 +214,158 @@ def _t_r_ref(self, u, layer):
     )
     new_vertices.append(fresh0)
     memory += len(fresh0) * self.dims[0] * 4
-    return CO.SubtreeMeasurement(
-        cost_s=cost,
-        new_vertices=new_vertices,
-        new_edge_count=new_edge_count,
-        memory_bytes=memory,
+    return cost, new_vertices, new_edge_count, memory
+
+
+def _partition_dependencies_ref(
+    graph, partitioning, worker, dims, constants, memory_limit_bytes=None,
+    mu=0.8, force_cache_fraction=None, cache=None, warm_start=None, tp=None,
+):
+    """Algorithm 4 as one heap pop, ``t_r`` walk and commit per candidate."""
+    num_layers = len(dims) - 1
+    owned = partitioning.part(worker)
+    owned_mask = np.zeros(graph.num_vertices, dtype=bool)
+    owned_mask[owned] = True
+    deps = P.dependency_layers(graph, owned, num_layers)
+    cost_model = CO.DependencyCostModel(
+        graph, dims, constants, owned_mask, mu=mu, tp=tp
+    )
+    cached, communicated, stale_cached, initial_costs = [], [], [], []
+    tp_layers, tp_cost_s, three_way_cost_s = [], [], []
+    tracker = (
+        P.MemoryTracker(worker, max(1, memory_limit_bytes))
+        if memory_limit_bytes is not None
+        else None
+    )
+    cache_budget = (
+        P.CacheBudget.for_config(cache, tracker=tracker)
+        if cache is not None else None
+    )
+    modeled_seconds = 0.0
+    evaluations = 0
+    budget_exhausted = False
+    if force_cache_fraction is not None:
+        total_deps = sum(len(d) for d in deps)
+        quota_remaining = int(round(force_cache_fraction * total_deps))
+    else:
+        quota_remaining = None
+    tp_enabled = tp is not None and quota_remaining is None
+    tp_below = False
+    for l in range(1, num_layers + 1):
+        layer_deps = deps[l - 1]
+        t_c = cost_model.t_c(l)
+        warm_costs = None
+        if warm_start is not None and l - 1 < len(warm_start.initial_costs):
+            warm_costs = warm_start.initial_costs[l - 1]
+        layer_costs = {}
+        layer_cached_cost = 0.0
+        snapshot = None
+        if tp_enabled:
+            snapshot = (
+                [rep.copy() for rep in cost_model.replicated],
+                tracker.snapshot() if tracker is not None else None,
+                cache_budget.snapshot() if cache_budget is not None else None,
+                budget_exhausted,
+            )
+        if budget_exhausted or len(layer_deps) == 0 or tp_below:
+            cached.append(np.empty(0, dtype=np.int64))
+        else:
+            heap = []
+            for u in layer_deps:
+                u = int(u)
+                if warm_costs is not None and u in warm_costs:
+                    cost = warm_costs[u]
+                else:
+                    cost, _, edges, _ = _t_r_ref(cost_model, u, l)
+                    evaluations += 1
+                    modeled_seconds += (
+                        P._SECONDS_PER_EVALUATION
+                        + edges * P._SECONDS_PER_EDGE_VISIT
+                    )
+                layer_costs[u] = cost
+                heapq.heappush(heap, (cost, u))
+            layer_cached = []
+            while heap:
+                _, u = heapq.heappop(heap)
+                cost, new_vertices, edges, memory = _t_r_ref(cost_model, u, l)
+                evaluations += 1
+                modeled_seconds += (
+                    P._SECONDS_PER_EVALUATION + edges * P._SECONDS_PER_EDGE_VISIT
+                )
+                if quota_remaining is not None:
+                    if not quota_remaining > 0:
+                        break
+                elif not cost < t_c:
+                    break
+                if tracker is not None and not tracker.try_allocate(
+                    memory, P.CLOSURE_MEMORY_LABEL
+                ):
+                    budget_exhausted = True
+                    break
+                layer_cached.append(u)
+                layer_cached_cost += cost
+                if quota_remaining is not None:
+                    quota_remaining -= 1
+                levels = list(range(l - 1, 0, -1)) + [0]
+                for k, fresh in zip(levels, new_vertices):
+                    if len(fresh):
+                        cost_model.replicated[k][fresh] = True
+            cached.append(np.asarray(sorted(layer_cached), dtype=np.int64))
+        initial_costs.append(layer_costs)
+        remaining = np.setdiff1d(layer_deps, cached[-1])
+        if cache_budget is not None:
+            stale = P._select_stale_cached(
+                remaining, l, cost_model, cache, cache_budget,
+                graph, partitioning, worker,
+            )
+        else:
+            stale = np.empty(0, dtype=np.int64)
+        stale_cached.append(stale)
+        communicated.append(np.setdiff1d(remaining, stale))
+        tp_cost = cost_model.t_tp(l) if tp_enabled else math.inf
+        stale_cost = (
+            len(stale) * cost_model.t_cached(l, cache.tau)
+            if cache is not None else 0.0
+        )
+        comm_rows = len(communicated[-1])
+        bulk_comm = 0.0
+        if comm_rows:
+            bulk_comm = P._BACKWARD_COMM * (
+                comm_rows * dims[l - 1] * 4 * constants.t_c_byte
+                + (partitioning.num_parts - 1) * constants.t_msg
+            )
+        three_way = (
+            layer_cached_cost + stale_cost + P._OVERLAP_DISCOUNT * bulk_comm
+        )
+        tp_cost_s.append(tp_cost)
+        three_way_cost_s.append(three_way)
+        flip = tp_enabled and len(layer_deps) > 0 and tp_cost < three_way
+        tp_layers.append(flip)
+        if flip:
+            reps, tracker_state, cache_state, prior_exhausted = snapshot
+            cost_model.replicated = reps
+            if tracker is not None and tracker_state is not None:
+                tracker.restore(tracker_state)
+            if cache_budget is not None and cache_state is not None:
+                cache_budget.restore(cache_state)
+            budget_exhausted = prior_exhausted
+            cached[-1] = np.empty(0, dtype=np.int64)
+            stale_cached[-1] = np.empty(0, dtype=np.int64)
+            communicated[-1] = np.sort(np.asarray(layer_deps, dtype=np.int64))
+            tp_below = True
+    closure_bytes = 0
+    cache_bytes = 0
+    if tracker is not None:
+        closure_bytes = tracker.breakdown().get(P.CLOSURE_MEMORY_LABEL, 0)
+    if cache_budget is not None:
+        cache_bytes = cache_budget.bytes
+    return P.DependencyPartition(
+        worker=worker, cached=cached, communicated=communicated,
+        memory_bytes=closure_bytes, modeled_seconds=modeled_seconds,
+        measured_evaluations=evaluations, stale_cached=stale_cached,
+        cache_bytes=cache_bytes, initial_costs=initial_costs,
+        tp_layers=tp_layers, tp_cost_s=tp_cost_s,
+        three_way_cost_s=three_way_cost_s,
     )
 
 
@@ -225,7 +378,7 @@ _PATCHES = [
     (C, "_bottom_fetch", _bottom_fetch_ref),
     (C, "_worker_spec", _worker_spec_ref),
     (CL.ReuseState, "replace", _replace_ref),
-    (CO.DependencyCostModel, "t_r", _t_r_ref),
+    (EH, "partition_dependencies", _partition_dependencies_ref),
 ]
 
 
@@ -356,6 +509,7 @@ def run_experiment(datasets=None, repeats=5, compile_repeats=1,
         "min_speedup_floor": min_speedup,
         "repeats": repeats,
         "compile_repeats": compile_repeats,
+        "host": host_metadata(),
     }
 
 

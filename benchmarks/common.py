@@ -15,8 +15,14 @@ the string ``"OOM"``, since JSON has no NaN).
 from __future__ import annotations
 
 import argparse
+import os
+import platform
+import subprocess
 import time
+from pathlib import Path
 from typing import Callable, Optional
+
+import numpy as np
 
 from repro.cluster.memory import OutOfMemoryError
 from repro.cluster.spec import ClusterSpec
@@ -95,6 +101,28 @@ def wallclock(fn: Callable[[], object], repeats: int = 3,
         "min_s": runs[0],
         "median_s": runs[len(runs) // 2],
         "runs": runs,
+    }
+
+
+def host_metadata() -> dict:
+    """Where a wall-clock benchmark ran, for its committed JSON."""
+    def git(*args):
+        try:
+            return subprocess.run(
+                ["git", *args], cwd=Path(__file__).parent, check=True,
+                capture_output=True, text=True,
+            ).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return None
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_revision": git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
     }
 
 

@@ -4,14 +4,16 @@
 features, counting only vertices/edges not already available locally
 (owned, or previously cached in ``V_rep``); ``t_c^l(u)`` is the flat
 per-vertex communication cost of layer ``l``.  Both are per-epoch
-(forward + backward) modeled seconds.
+(forward + backward) modeled seconds.  :meth:`DependencyCostModel.score`
+walks a whole batch of candidates at once, which is how Algorithm 4
+measures them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -24,9 +26,20 @@ class SubtreeMeasurement:
     """One evaluation of Eq. 1 for a dependency ``u`` at layer ``l``."""
 
     cost_s: float
-    new_vertices: List[np.ndarray]  # per level k = l-1 .. 0 (h^k to compute)
     new_edge_count: int
     memory_bytes: int
+
+
+@dataclass
+class SubtreeScores:
+    """Eq. 1 for a batch of candidates, one array entry per candidate."""
+
+    cost_s: np.ndarray
+    edge_count: np.ndarray
+    memory_bytes: np.ndarray
+    # Per level k = l-1 .. 0: (candidate index, vertex) of every h^k the
+    # candidate adds to ``V_rep`` when committed.
+    fresh: List[Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -154,81 +167,69 @@ class DependencyCostModel:
         ) * self.constants.edge_cost(layer)
         return tp.cost_scale * (comm + compute)
 
-    def t_r(self, u: int, layer: int) -> SubtreeMeasurement:
-        """Eq. 1: redundant-computation cost of caching ``u`` at ``layer``.
+    def score(
+        self, candidates: np.ndarray, layer: int, in_order: bool = False
+    ) -> SubtreeScores:
+        """Eq. 1 for every candidate at once, one walk per level.
 
-        Walks ``u``'s in-neighborhood down ``layer - 1`` levels; at each
-        level ``k`` (the layer whose representation must be recomputed)
-        it counts vertices and in-edges not owned and not already in
-        ``V_rep``, weighting by the per-layer probed costs.  Level 0
-        contributes memory (cached features) but no per-epoch compute.
+        Each level ``k`` (the layer whose representation must be
+        recomputed) holds (candidate, vertex) pairs; a vertex counts for
+        a candidate unless it is owned or already in ``V_rep``, weighted
+        by the per-layer probed costs.  Level 0 contributes memory
+        (cached features) but no per-epoch compute.
+
+        By default every candidate is scored against ``V_rep`` alone.
+        With ``in_order`` each is scored as if every earlier candidate
+        had been committed: a vertex counts at a level only for the
+        first candidate in the order that reaches it there.
         """
-        graph = self.graph
-        csc = graph.csc
-        indptr = csc.indptr
-        cost = 0.0
-        new_edge_count = 0
-        memory = 0
-        new_vertices: List[np.ndarray] = []
-        frontier = np.asarray([u], dtype=np.int64)
-        # Level k = layer-1 down to 1: h^k recomputed for the frontier.
-        for k in range(layer - 1, 0, -1):
-            rep = self.replicated[k]
-            if len(frontier) == 1:
-                # The first level is always a single vertex, so the
-                # mask filter reduces to two bool probes.
-                v = int(frontier[0])
-                fresh = (
-                    frontier[:0]
-                    if (self.owned_mask[v] or rep[v])
-                    else frontier
-                )
-            else:
-                fresh = frontier[~self.owned_mask[frontier] & ~rep[frontier]]
-            new_vertices.append(fresh)
-            if len(fresh):
-                if len(fresh) == 1:
-                    # One vertex's in-edges are a single indptr slice;
-                    # skip the general gather.
-                    v = int(fresh[0])
-                    lo = int(indptr[v])
-                    hi = int(indptr[v + 1])
-                    sources = csc.other[lo:hi]
-                    edge_count = hi - lo
-                else:
-                    _, sources, eids = csc.select(fresh)
-                    edge_count = len(eids)
-                cost += self.mu * (
-                    len(fresh) * self.constants.vertex_cost(k)
-                    + edge_count * self.constants.edge_cost(k)
-                )
-                new_edge_count += edge_count
-                memory += len(fresh) * self.dims[k] * 4 + edge_count * 12
-                frontier = np.unique(sources)
-            else:
-                frontier = np.empty(0, dtype=np.int64)
-            if len(frontier) == 0:
+        n = len(candidates)
+        csc = self.graph.csc
+        cost = np.zeros(n)
+        edges = np.zeros(n, dtype=np.int64)
+        memory = np.zeros(n, dtype=np.int64)
+        fresh: List[Tuple[np.ndarray, np.ndarray]] = []
+        owner = np.arange(n, dtype=np.int64)
+        verts = np.asarray(candidates, dtype=np.int64)
+        for k in range(layer - 1, -1, -1):
+            # Sorting by (vertex, candidate) puts each vertex's first
+            # candidate ahead of the rest, so one adjacent-pair scan
+            # dedups per candidate, or per vertex in order.
+            verts, owner = np.divmod(np.sort(verts * n + owner), n)
+            keep = np.ones(len(verts), dtype=bool)
+            keep[1:] = verts[1:] != verts[:-1]
+            if not in_order:
+                keep[1:] |= owner[1:] != owner[:-1]
+            keep &= ~self.owned_mask[verts] & ~self.replicated[k][verts]
+            verts, owner = verts[keep], owner[keep]
+            fresh.append((owner, verts))
+            count = np.bincount(owner, minlength=n)
+            if k == 0:
+                memory += count * self.dims[0] * 4
                 break
-        # Level 0: features of the remaining frontier must be cached
-        # (one-time fetch, no per-epoch compute).
-        rep0 = self.replicated[0]
-        fresh0 = (
-            frontier[~self.owned_mask[frontier] & ~rep0[frontier]]
-            if len(frontier)
-            else frontier
-        )
-        new_vertices.append(fresh0)
-        memory += len(fresh0) * self.dims[0] * 4
-        return SubtreeMeasurement(
-            cost_s=cost,
-            new_vertices=new_vertices,
-            new_edge_count=new_edge_count,
-            memory_bytes=memory,
-        )
+            degree = csc.indptr[verts + 1] - csc.indptr[verts]
+            _, sources, _ = csc.select(verts)
+            owner = np.repeat(owner, degree)
+            verts = sources.astype(np.int64, copy=False)
+            edge_count = np.bincount(owner, minlength=n)
+            cost += self.mu * (
+                count * self.constants.vertex_cost(k)
+                + edge_count * self.constants.edge_cost(k)
+            )
+            edges += edge_count
+            memory += count * self.dims[k] * 4 + edge_count * 12
+        return SubtreeScores(cost, edges, memory, fresh)
 
-    def commit(self, u: int, layer: int, measurement: SubtreeMeasurement) -> None:
-        """Add ``u``'s subtree to ``V_rep`` after deciding to cache it."""
-        levels = list(range(layer - 1, 0, -1)) + [0]
-        for k, fresh in zip(levels, measurement.new_vertices):
-            if len(fresh):
-                self.replicated[k][fresh] = True
+    def commit_prefix(self, scores: SubtreeScores, count: int) -> None:
+        """Add the first ``count`` scored candidates' subtrees to ``V_rep``."""
+        for k, (owner, verts) in zip(range(len(scores.fresh) - 1, -1, -1), scores.fresh):
+            self.replicated[k][verts[owner < count]] = True
+
+    def t_r(self, u: int, layer: int) -> SubtreeMeasurement:
+        """Eq. 1: redundant-computation cost of caching ``u`` at ``layer``."""
+        scores = self.score(np.asarray([u]), layer)
+        return SubtreeMeasurement(
+            cost_s=float(scores.cost_s[0]),
+            new_edge_count=int(scores.edge_count[0]),
+            memory_bytes=int(scores.memory_bytes[0]),
+        )

@@ -63,15 +63,16 @@ def _evaluate(
         if tp_layers is not None and tp_layers[l - 1]:
             total += cost_model.t_tp(l)
             continue
-        cached_set = set(cached_l.tolist())
-        for u in deps_l:
-            if int(u) in cached_set:
-                measurement = cost_model.t_r(int(u), l)
-                total += measurement.cost_s
-                memory += measurement.memory_bytes
-                cost_model.commit(int(u), l, measurement)
-            else:
-                total += cost_model.t_c(l)
+        # Caching the chosen subset one dependency at a time, in deps
+        # order, is exactly an in-order commit sequence.
+        chosen = np.isin(deps_l, cached_l)
+        scores = cost_model.score(deps_l[chosen], l, in_order=True)
+        cost_model.commit_prefix(scores, len(deps_l))
+        memory += int(scores.memory_bytes.sum())
+        terms = np.full(len(deps_l), cost_model.t_c(l))
+        terms[chosen] = scores.cost_s
+        for term in terms.tolist():
+            total += term
     if memory_limit_bytes is not None and memory > memory_limit_bytes:
         return None
     return total

@@ -22,7 +22,6 @@ draw from jointly.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -93,6 +92,31 @@ class DependencyPartition:
 _SECONDS_PER_EDGE_VISIT = 4.0e-8
 _SECONDS_PER_EVALUATION = 1.5e-6
 
+# Candidates per batched score: bounds the (candidate, vertex) pair
+# arrays on deep models.  Any size gives the same result, because a
+# chunk is measured only after every earlier one was committed whole.
+_SCORE_CHUNK = 4096
+
+
+def _add_in_order(total: float, values: np.ndarray) -> float:
+    """``total + values[0] + values[1] + ...``, left to right.
+
+    A pairwise ``np.sum`` rounds differently in the last bits, and
+    ``modeled_seconds`` feeds the modeled preprocessing time that the
+    goldens pin.
+    """
+    for value in values.tolist():
+        total += value
+    return total
+
+
+def _charge(total: float, edge_counts: np.ndarray) -> float:
+    """Add the modeled preprocessing time of one measurement per entry."""
+    return _add_in_order(
+        total, _SECONDS_PER_EVALUATION + edge_counts * _SECONDS_PER_EDGE_VISIT
+    )
+
+
 # Share of the per-vertex exchange's receive time that survives overlap:
 # chunked execution starts aggregating as chunks land, hiding roughly
 # half the wire time under compute (the scheduler's overlap pipeline).
@@ -136,7 +160,6 @@ def partition_dependencies(
     memory_limit_bytes: Optional[int] = None,
     mu: float = 0.8,
     force_cache_fraction: Optional[float] = None,
-    rng: Optional[np.random.Generator] = None,
     cache: Optional[CacheConfig] = None,
     warm_start: Optional[DependencyPartition] = None,
     tp: Optional[TensorParallelCostInputs] = None,
@@ -232,57 +255,63 @@ def partition_dependencies(
         # cached/comm options alone.
         if budget_exhausted or len(layer_deps) == 0 or tp_below:
             cached.append(np.empty(0, dtype=np.int64))
-            layer_cached = []
         else:
             # Line 5-7: initial measurement of every dependency (seeded
             # from the warm start's prior costs when available).
-            heap = []
-            for u in layer_deps:
-                u = int(u)
-                if warm_costs is not None and u in warm_costs:
-                    cost = warm_costs[u]
-                else:
-                    measurement = cost_model.t_r(u, l)
-                    evaluations += 1
-                    modeled_seconds += (
-                        _SECONDS_PER_EVALUATION
-                        + measurement.new_edge_count * _SECONDS_PER_EDGE_VISIT
-                    )
-                    cost = measurement.cost_s
-                layer_costs[u] = cost
-                heapq.heappush(heap, (cost, u))
+            costs = np.empty(len(layer_deps))
+            unseeded = np.arange(len(layer_deps))
+            if warm_costs is not None:
+                seeded = np.asarray([int(u) in warm_costs for u in layer_deps], dtype=bool)
+                costs[seeded] = [warm_costs[int(u)] for u in layer_deps[seeded]]
+                unseeded = np.flatnonzero(~seeded)
+            for lo in range(0, len(unseeded), _SCORE_CHUNK):
+                idx = unseeded[lo:lo + _SCORE_CHUNK]
+                scores = cost_model.score(layer_deps[idx], l)
+                costs[idx] = scores.cost_s
+                modeled_seconds = _charge(modeled_seconds, scores.edge_count)
+            evaluations += len(unseeded)
+            layer_costs = dict(zip(layer_deps.tolist(), costs.tolist()))
 
+            # Line 8-15: pop cheapest, re-measure, decide.  The greedy
+            # stops at the first pop it does not cache, so every pop is
+            # measured with all earlier pops committed: one in-order
+            # score per chunk, then the longest prefix that passes.
+            order = layer_deps[np.lexsort((layer_deps, costs))]
             layer_cached = []
-            # Line 8-15: pop cheapest, re-measure, decide.
-            while heap:
-                _, u = heapq.heappop(heap)
-                measurement = cost_model.t_r(u, l)
-                evaluations += 1
-                modeled_seconds += (
-                    _SECONDS_PER_EVALUATION
-                    + measurement.new_edge_count * _SECONDS_PER_EDGE_VISIT
+            for lo in range(0, len(order), _SCORE_CHUNK):
+                chunk = order[lo:lo + _SCORE_CHUNK]
+                scores = cost_model.score(chunk, l, in_order=True)
+                if quota_remaining is not None:
+                    passes = np.arange(len(chunk)) < quota_remaining
+                else:
+                    passes = scores.cost_s < t_c
+                ok = passes if tracker is None else passes & (
+                    tracker.used_bytes + np.cumsum(scores.memory_bytes)
+                    <= tracker.budget_bytes
+                )
+                take = len(chunk) if ok.all() else int(np.argmin(ok))
+                evaluations += min(take + 1, len(chunk))
+                modeled_seconds = _charge(
+                    modeled_seconds, scores.edge_count[:take + 1]
+                )
+                if take and tracker is not None:
+                    tracker.allocate(
+                        int(scores.memory_bytes[:take].sum()), CLOSURE_MEMORY_LABEL
+                    )
+                layer_cached.append(chunk[:take])
+                layer_cached_cost = _add_in_order(
+                    layer_cached_cost, scores.cost_s[:take]
                 )
                 if quota_remaining is not None:
-                    should_cache = quota_remaining > 0
-                    if not should_cache:
-                        break  # global quota exhausted
-                else:
-                    should_cache = measurement.cost_s < t_c
-                    if not should_cache:
-                        # Costs only grow up the heap; nothing further caches.
-                        break
-                if tracker is not None and not tracker.try_allocate(
-                    measurement.memory_bytes, CLOSURE_MEMORY_LABEL
-                ):
-                    budget_exhausted = True  # Line 14-15: stop immediately.
+                    quota_remaining -= take
+                cost_model.commit_prefix(scores, take)
+                if take < len(chunk):
+                    # Line 14-15: a pop that passed its test but not the
+                    # budget stops caching for every later layer too.
+                    budget_exhausted = bool(passes[take])
                     break
-                layer_cached.append(u)
-                layer_cached_cost += measurement.cost_s
-                if quota_remaining is not None:
-                    quota_remaining -= 1
-                cost_model.commit(u, l, measurement)
 
-            cached.append(np.asarray(sorted(layer_cached), dtype=np.int64))
+            cached.append(np.sort(np.concatenate(layer_cached)))
         initial_costs.append(layer_costs)
         remaining = np.setdiff1d(layer_deps, cached[-1])
         if cache_budget is not None:

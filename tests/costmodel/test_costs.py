@@ -45,21 +45,22 @@ class TestTr:
 
     def test_commit_prevents_double_counting(self, setup):
         g, model, constants, cm = setup
-        first = cm.t_r(3, layer=2)
-        cm.commit(3, 2, first)
+        cm.commit_prefix(cm.score(np.asarray([3]), layer=2), 1)
         again = cm.t_r(3, layer=2)
         assert again.cost_s == 0.0
 
     def test_overlapping_subtrees_share(self, setup):
         g, model, constants, cm = setup
         # Vertices 3 and 2 chain: caching 3 first makes 2's feature cached.
-        m3 = cm.t_r(3, layer=2)
-        cm.commit(3, 2, m3)
+        cm.commit_prefix(cm.score(np.asarray([3]), layer=2), 1)
         m2 = cm.t_r(2, layer=2)
         # 2's subtree: recompute h^1(2) needing feature of 1 (new).
         assert m2.cost_s == pytest.approx(
             constants.vertex_cost(1) + constants.edge_cost(1)
         )
+        # Scored in order, 2 sees 3's subtree as committed all the same.
+        in_order = cm.score(np.asarray([3, 2]), layer=2, in_order=True)
+        assert in_order.cost_s[1] == m2.cost_s
 
     def test_mu_scales_cost(self, setup):
         g, model, constants, cm = setup
